@@ -289,11 +289,7 @@ func sparqlCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	translated, err := st.TranslateQuery(*qs)
-	if err != nil {
-		return err
-	}
-	q, err := sparql.Parse(translated)
+	q, err := sparql.ParseWith(*qs, st)
 	if err != nil {
 		return err
 	}
@@ -305,6 +301,10 @@ func sparqlCmd(args []string, out io.Writer) error {
 	// pooled renderer: no per-row maps, no per-term strings.
 	rend := store.AcquireRenderer(st)
 	defer rend.Release()
+	isPred := make([]bool, len(q.Vars))
+	for i, v := range q.Vars {
+		isPred[i] = q.PredicateOnly(v)
+	}
 	var line []byte
 	var writeErr error
 	printed := 0
@@ -321,7 +321,11 @@ func sparqlCmd(args []string, out io.Writer) error {
 			line = append(line, '?')
 			line = append(line, v...)
 			line = append(line, '=')
-			line = rend.AppendTerm(line, b[v])
+			if isPred[i] {
+				line = rend.AppendPredicate(line, b[v])
+			} else {
+				line = rend.AppendTerm(line, b[v])
+			}
 		}
 		line = append(line, '\n')
 		if _, werr := out.Write(line); werr != nil {

@@ -125,6 +125,13 @@ func TestEndToEnd(t *testing.T) {
 			if !strings.Contains(out, "-- 3 solutions") {
 				t.Fatalf("plan-stats sparql output: %q", out)
 			}
+
+			// A predicate-position variable prints predicate terms.
+			out = runOK(t, "sparql", "-store", idx,
+				"-q", "SELECT ?p WHERE { <http://ex/alice> ?p <http://ex/pizza> . }")
+			if !strings.Contains(out, "?p=<http://ex/likes>") || !strings.Contains(out, "-- 1 solutions") {
+				t.Fatalf("predicate variable sparql output: %q", out)
+			}
 		})
 	}
 }

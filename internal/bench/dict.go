@@ -112,7 +112,7 @@ func legacyMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer
 func pooledMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer) (int, error) {
 	nw := store.AcquireNDJSON(st, w)
 	defer nw.Release()
-	nw.SetVars(q.Vars)
+	nw.SetQuery(q)
 	rows := 0
 	_, err := sparql.StreamWithOrder(nil, q, st.Index, order, func(b sparql.Bindings) {
 		nw.WriteSolution(b)
@@ -130,7 +130,7 @@ func pooledMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer
 func protocolMaterialize(st *store.Store, q sparql.Query, order []int, f results.Format, w io.Writer) (int, error) {
 	wr := results.Acquire(f, st, w)
 	defer wr.Release()
-	wr.Begin(q.Vars)
+	wr.BeginQuery(q)
 	rows := 0
 	_, err := sparql.StreamWithOrder(nil, q, st.Index, order, func(b sparql.Bindings) {
 		wr.WriteSolution(b)

@@ -95,11 +95,12 @@ func etagMatch(header, etag string) bool {
 
 // protocolQuery extracts the query text from whichever of the three
 // protocol request forms was used, or describes the failure as an HTTP
-// status.
+// status. The caller has run r.ParseForm, which parsed the URL query
+// string (and a form body) once for the whole request.
 func protocolQuery(r *http.Request) (string, int, error) {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead:
-		if qs := r.URL.Query().Get("query"); qs != "" {
+		if qs := r.Form.Get("query"); qs != "" {
 			return qs, 0, nil
 		}
 		return "", http.StatusBadRequest, errors.New("missing query parameter")
@@ -123,7 +124,7 @@ func protocolQuery(r *http.Request) (string, int, error) {
 			}
 			return string(body), 0, nil
 		case "application/x-www-form-urlencoded", "":
-			if qs := r.PostFormValue("query"); qs != "" {
+			if qs := r.PostForm.Get("query"); qs != "" {
 				return qs, 0, nil
 			}
 			return "", http.StatusBadRequest, errors.New("missing query form field")
@@ -194,6 +195,9 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	s.protocols.Add(1)
 	tr := obs.AcquireTrace()
 	defer tr.Release()
+	// A malformed pair is skipped, as url.Values parsing does; a form
+	// body that fails to parse leaves the query field missing.
+	_ = r.ParseForm()
 	qs, status, err := protocolQuery(r)
 	if err != nil {
 		if status == http.StatusMethodNotAllowed {
@@ -210,19 +214,19 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no acceptable result format; supported: %s", results.SupportedTypes()))
 		return
 	}
-	limit, err := parseLimitValue(r.URL.Query().Get("limit"))
+	limit, err := parseLimitValue(r.Form.Get("limit"))
 	if err != nil {
 		s.failed.Add(1)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	explain := r.URL.Query().Get("explain") == "1"
+	explain := r.Form.Get("explain") == "1"
 
 	st, gen := s.view()
 	// The min-gen consistency token gates the whole request — including
 	// revalidation: a 304 against a stale view would be just as stale as
 	// a 200 from it.
-	if !s.checkMinGen(w, r.URL.Query().Get("min-gen"), gen) {
+	if !s.checkMinGen(w, r.Form.Get("min-gen"), gen) {
 		return
 	}
 	w.Header().Set(generationHeader, strconv.FormatUint(s.generationToken(gen), 10))
@@ -252,13 +256,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	}
 
 	pt := time.Now()
-	translated, err := st.TranslateQuery(qs)
-	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := sparql.Parse(translated)
+	q, err := sparql.ParseWith(qs, st)
 	if err != nil {
 		s.failed.Add(1)
 		httpError(w, http.StatusBadRequest, err)
@@ -274,12 +272,9 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// norm matches the NDJSON dialect's plan-cache key on purpose: both
-	// endpoints evaluate the same BGP, so they share cached orders. The
-	// result-cache key adds the format — the cached bytes are the
+	// The result-cache key carries the format: the cached bytes are the
 	// serialized (uncompressed) response body.
-	norm := fmt.Sprintf("g%d|%s", gen, q.String())
-	key := "p|" + f.String() + "|" + norm + "|" + strconv.Itoa(limit)
+	norm, key := cacheKeys(gen, q, f.String(), limit)
 	gz := wantsGzip(r.Header.Get("Accept-Encoding"))
 	if !explain {
 		if body, ok := s.results.Get(key); ok {
@@ -338,7 +333,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 
 	wr := results.Acquire(f, st, cw)
 	defer wr.Release()
-	wr.Begin(q.Vars)
+	wr.BeginQuery(q)
 
 	execCtx, stop := context.WithCancel(ctx)
 	defer stop()

@@ -4,10 +4,13 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"encoding/xml"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -484,4 +487,106 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil, want error", bad)
 		}
 	}
+}
+
+// TestProtocolRespellingHitsCache sends one BGP twice, spelled
+// differently the second time — lower-case keywords, extra and missing
+// whitespace, no final dot and the predicate as its raw <id> — and
+// expects the second answer from the result cache: both spellings parse
+// to the same canonical query.
+func TestProtocolRespellingHitsCache(t *testing.T) {
+	st := testStore(t, 40, 3)
+	ts := httptest.NewServer(New(st, Options{Workers: 4}))
+	defer ts.Close()
+
+	resp, body := protocolGet(t, ts, knowsQuery, "")
+	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first request: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	knows, err := st.Locate("<http://ex/knows>", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respelled := fmt.Sprintf("select   ?x ?y\n where{?x <%d>   ?y}", knows)
+	resp2, body2 := protocolGet(t, ts, respelled, "")
+	if resp2.StatusCode != 200 || resp2.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("respelling %q: status %d, X-Cache %q", respelled, resp2.StatusCode, resp2.Header.Get("X-Cache"))
+	}
+	if string(body2) != string(body) {
+		t.Fatalf("cached body differs")
+	}
+}
+
+// TestPredicateVariables projects a variable bound only in predicate
+// position: every result format and the NDJSON dialect must render it
+// through the predicate dictionary, next to a subject/object variable
+// whose IDs overlap the predicate IDs.
+func TestPredicateVariables(t *testing.T) {
+	st := testStore(t, 40, 3)
+	ts := httptest.NewServer(New(st, Options{Workers: 4}))
+	defer ts.Close()
+
+	const q = "SELECT ?p ?o WHERE { <http://ex/p0> ?p ?o . }"
+	want := []string{
+		"http://ex/knows http://ex/p1",
+		"http://ex/likes http://ex/item0",
+		"http://ex/likes http://ex/item1",
+		"http://ex/likes http://ex/item2",
+	}
+	check := func(name string, rows []string) {
+		t.Helper()
+		sort.Strings(rows)
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("%s rows %q, want %q", name, rows, want)
+		}
+	}
+	for _, f := range results.Formats() {
+		resp, body := protocolGet(t, ts, q, strings.Split(f.ContentType(), ";")[0])
+		if resp.StatusCode != 200 {
+			t.Fatalf("%v: status %d body %s", f, resp.StatusCode, body)
+		}
+		var rows []string
+		switch f {
+		case results.JSON:
+			_, bs := jsonBindings(t, body)
+			for _, b := range bs {
+				rows = append(rows, b["p"]["value"]+" "+b["o"]["value"])
+			}
+		case results.XML:
+			var doc struct {
+				Results []struct {
+					Bindings []struct {
+						URI string `xml:"uri"`
+					} `xml:"binding"`
+				} `xml:"results>result"`
+			}
+			if err := xml.Unmarshal(body, &doc); err != nil {
+				t.Fatalf("xml: %v", err)
+			}
+			for _, r := range doc.Results {
+				rows = append(rows, r.Bindings[0].URI+" "+r.Bindings[1].URI)
+			}
+		case results.CSV:
+			for _, line := range strings.Split(strings.TrimSpace(string(body)), "\r\n")[1:] {
+				rows = append(rows, strings.ReplaceAll(line, ",", " "))
+			}
+		case results.TSV:
+			for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n")[1:] {
+				rows = append(rows, strings.NewReplacer("\t", " ", "<", "", ">", "").Replace(line))
+			}
+		}
+		check(f.String(), rows)
+	}
+
+	resp, body := get(t, ts, "/v1/sparql?q="+url.QueryEscape(q))
+	if resp.StatusCode != 200 {
+		t.Fatalf("ndjson: status %d body %s", resp.StatusCode, body)
+	}
+	var rows []string
+	for _, m := range ndjsonLines(t, body) {
+		if p, ok := m["p"].(string); ok {
+			rows = append(rows, strings.Trim(p, "<>")+" "+strings.Trim(m["o"].(string), "<>"))
+		}
+	}
+	check("ndjson", rows)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"rdfindexes/internal/core"
+	"rdfindexes/internal/sparql"
 	"rdfindexes/internal/store"
 )
 
@@ -37,20 +38,22 @@ type Writer struct {
 	rend *store.Renderer
 	err  error
 
-	buf   []byte // pending output
-	raw   []byte // raw N-Triples term scratch
-	val   []byte // unescaped literal value scratch
-	arena []byte // encoded-term cache backing
-	cache map[core.ID]span
+	buf   []byte           // pending output
+	raw   []byte           // raw N-Triples term scratch
+	val   []byte           // unescaped literal value scratch
+	arena []byte           // encoded-term cache backing
+	cache map[core.ID]span // subject/object IDs
+	pred  map[core.ID]span // predicate IDs
 
 	vars   []string
+	isPred []bool // per variable: bound only in predicate position
 	keybuf []byte // per-variable key fragments back to back
 	keyoff []span
 	nrows  int
 }
 
 var writerPool = sync.Pool{New: func() any {
-	return &Writer{cache: map[core.ID]span{}}
+	return &Writer{cache: map[core.ID]span{}, pred: map[core.ID]span{}}
 }}
 
 // Acquire takes a pooled writer streaming format f to w, with terms
@@ -76,12 +79,14 @@ func (wr *Writer) Release() {
 	wr.rend.Release()
 	wr.rend, wr.w = nil, nil
 	clear(wr.cache)
+	clear(wr.pred)
 	wr.buf = trim(wr.buf)
 	wr.raw = trim(wr.raw)
 	wr.val = trim(wr.val)
 	wr.arena = trim(wr.arena)
 	wr.keybuf = trim(wr.keybuf)
 	wr.vars = wr.vars[:0]
+	wr.isPred = wr.isPred[:0]
 	wr.keyoff = wr.keyoff[:0]
 	writerPool.Put(wr)
 }
@@ -118,11 +123,26 @@ func (wr *Writer) maybeFlush() {
 	}
 }
 
+// BeginQuery is Begin over q's projection, with every variable that q
+// binds only in predicate position rendered through the predicate
+// dictionary.
+func (wr *Writer) BeginQuery(q sparql.Query) {
+	wr.Begin(q.Vars)
+	for i, v := range q.Vars {
+		wr.isPred[i] = q.PredicateOnly(v)
+	}
+}
+
 // Begin writes the result set header and fixes the variable set and
 // order of the subsequent WriteSolution rows, pre-encoding every
-// per-variable key fragment once.
+// per-variable key fragment once. Every variable renders through the
+// subject/object dictionary; BeginQuery also knows predicate variables.
 func (wr *Writer) Begin(vars []string) {
 	wr.vars = append(wr.vars[:0], vars...)
+	wr.isPred = wr.isPred[:0]
+	for range vars {
+		wr.isPred = append(wr.isPred, false)
+	}
 	wr.keybuf = wr.keybuf[:0]
 	wr.keyoff = wr.keyoff[:0]
 	switch wr.f {
@@ -203,7 +223,7 @@ func (wr *Writer) WriteSolution(b map[string]core.ID) {
 			first = false
 			sp := wr.keyoff[i]
 			wr.buf = append(wr.buf, wr.keybuf[sp.start:sp.end]...)
-			wr.appendTerm(id)
+			wr.appendTerm(id, wr.isPred[i])
 		}
 		wr.buf = append(wr.buf, '}')
 	case XML:
@@ -215,7 +235,7 @@ func (wr *Writer) WriteSolution(b map[string]core.ID) {
 			}
 			sp := wr.keyoff[i]
 			wr.buf = append(wr.buf, wr.keybuf[sp.start:sp.end]...)
-			wr.appendTerm(id)
+			wr.appendTerm(id, wr.isPred[i])
 			wr.buf = append(wr.buf, `</binding>`...)
 		}
 		wr.buf = append(wr.buf, `</result>`...)
@@ -225,7 +245,7 @@ func (wr *Writer) WriteSolution(b map[string]core.ID) {
 				wr.buf = append(wr.buf, ',')
 			}
 			if id, ok := b[v]; ok {
-				wr.appendTerm(id)
+				wr.appendTerm(id, wr.isPred[i])
 			}
 		}
 		wr.buf = append(wr.buf, '\r', '\n')
@@ -235,7 +255,7 @@ func (wr *Writer) WriteSolution(b map[string]core.ID) {
 				wr.buf = append(wr.buf, '\t')
 			}
 			if id, ok := b[v]; ok {
-				wr.appendTerm(id)
+				wr.appendTerm(id, wr.isPred[i])
 			}
 		}
 		wr.buf = append(wr.buf, '\n')
@@ -258,20 +278,29 @@ func (wr *Writer) End() {
 }
 
 // appendTerm appends the format-encoded term for id, serving repeats
-// from the arena cache. Solution IDs resolve through the subject/object
-// dictionary, matching the NDJSON dialect's behavior.
+// from the arena cache. A predicate ID resolves through the predicate
+// dictionary and caches apart: the two dictionaries number their terms
+// independently.
 //
 //rdf:hotpath
-func (wr *Writer) appendTerm(id core.ID) {
-	if sp, ok := wr.cache[id]; ok {
+func (wr *Writer) appendTerm(id core.ID, pred bool) {
+	cache := wr.cache
+	if pred {
+		cache = wr.pred
+	}
+	if sp, ok := cache[id]; ok {
 		wr.buf = append(wr.buf, wr.arena[sp.start:sp.end]...)
 		return
 	}
-	wr.raw = wr.rend.AppendTerm(wr.raw[:0], id)
-	if len(wr.cache) < maxCachedTerms {
+	if pred {
+		wr.raw = wr.rend.AppendPredicate(wr.raw[:0], id)
+	} else {
+		wr.raw = wr.rend.AppendTerm(wr.raw[:0], id)
+	}
+	if len(cache) < maxCachedTerms {
 		start := len(wr.arena)
 		wr.arena = wr.encodeTerm(wr.arena, wr.raw)
-		wr.cache[id] = span{start, len(wr.arena)}
+		cache[id] = span{start, len(wr.arena)}
 		wr.buf = append(wr.buf, wr.arena[start:]...)
 		return
 	}

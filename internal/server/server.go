@@ -131,13 +131,6 @@ type Options struct {
 	ReplLeader *repl.Leader
 }
 
-// Config is the former name of Options.
-//
-// Deprecated: use Options. The fields are identical (Config is an
-// alias), so existing callers compile unchanged; new code should name
-// Options directly.
-type Config = Options
-
 // Validate reports the first nonsensical field combination, before
 // withDefaults silently papers over it. The zero value is always valid.
 // Negative values that carry meaning (CacheEntries disables the result
@@ -562,6 +555,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// cacheKeys builds both cache keys of a BGP query in one buffer: the
+// plan key is a prefix of the result key.
+// The plan key is the write generation plus the query's canonical
+// dictionary-resolved text, so every spelling of one BGP shares it, and
+// both dialects share cached orders. The generation is load-bearing
+// beyond staleness: a merge remaps dictionary IDs, so the same ID text
+// means different terms across generations. The result key extends the
+// plan key with the response format and the row limit.
+func cacheKeys(gen uint64, q sparql.Query, format string, limit int) (plan, result string) {
+	var buf [256]byte
+	b := strconv.AppendUint(append(buf[:0], 'g'), gen, 10)
+	b = q.Append(append(b, '|'))
+	n := len(b)
+	b = append(append(append(b, '|'), format...), '|')
+	result = string(strconv.AppendInt(b, int64(limit), 10))
+	return result[:n], result
+}
+
 // handleSparql executes a BGP query and streams solutions as NDJSON, one
 // {var: term, …} object per line, terminated by a summary line with the
 // executor statistics.
@@ -584,24 +595,13 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	translated, err := st.TranslateQuery(qs)
+	q, err := sparql.ParseWith(qs, st)
 	if err != nil {
 		s.failed.Add(1)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := sparql.Parse(translated)
-	if err != nil {
-		s.failed.Add(1)
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// q.String() renders the dictionary-resolved BGP canonically, so it
-	// normalizes whitespace and spelling for both caches. The generation
-	// prefix is load-bearing beyond staleness: a merge remaps dictionary
-	// IDs, so the same ID text means different terms across generations.
-	norm := fmt.Sprintf("g%d|%s", gen, q.String())
-	key := "s|" + norm + "|" + strconv.Itoa(limit)
+	norm, key := cacheKeys(gen, q, "ndjson", limit)
 	if body, ok := s.results.Get(key); ok {
 		serveCached(w, body)
 		return
@@ -629,7 +629,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Cache", "miss")
 	nw := store.AcquireNDJSON(st, cw)
 	defer nw.Release()
-	nw.SetVars(q.Vars)
+	nw.SetQuery(q)
 
 	// Reaching the row limit cancels the execution context: the executor
 	// aborts within one cancellation stride instead of computing

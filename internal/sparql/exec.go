@@ -71,63 +71,51 @@ func substitute(tp TriplePattern, b Bindings) core.Pattern {
 
 // PlanWithStats orders the BGP's patterns like Plan but replaces the
 // static shape costs with measured cardinalities from the store: the cost
-// of a pattern is its actual match count under the currently bound
-// prefix, probed once per planning step. This is the direction the paper
-// lists as future work ("devising a novel query planning algorithm");
-// the executor accepts either order.
+// of a pattern is the match count of its constants alone, probed once
+// per planning step, divided by 64 per variable position already bound
+// (a cheap refinement). This is the direction the paper lists as future
+// work ("devising a novel query planning algorithm"); the executor
+// accepts either order.
 func PlanWithStats(q Query, st Store) []int {
+	return greedyOrder(q, 1<<16, func(tp TriplePattern, bound map[string]bool) int {
+		cost := max(countUpTo(st, substitute(tp, nil), 1<<16), 1)
+		for _, t := range [3]Term{tp.S, tp.P, tp.O} {
+			if t.IsVar() && bound[t.Var] {
+				cost /= 64
+			}
+		}
+		return max(cost, 1)
+	})
+}
+
+// greedyOrder returns an evaluation order as indexes into q.Patterns: at
+// each step, the unused pattern of least cost under the variables bound
+// so far. A pattern sharing no bound variable would form a Cartesian
+// product, so past the first step its cost is multiplied by penalty.
+func greedyOrder(q Query, penalty int, cost func(tp TriplePattern, bound map[string]bool) int) []int {
 	n := len(q.Patterns)
 	used := make([]bool, n)
-	boundVars := map[string]bool{}
+	bound := map[string]bool{}
 	order := make([]int, 0, n)
 	for len(order) < n {
-		best, bestCost := -1, int(^uint(0)>>1)
+		best, bestCost := -1, 0
 		for i, tp := range q.Patterns {
 			if used[i] {
 				continue
 			}
-			fake := Bindings{}
-			for v := range boundVars {
-				fake[v] = 0
+			c := cost(tp, bound)
+			if len(order) > 0 && !bound[tp.S.Var] && !bound[tp.P.Var] && !bound[tp.O.Var] {
+				c *= penalty
 			}
-			shape := substitute(tp, fake).Shape()
-			// Probe the real cardinality for the unbound version of the
-			// pattern (constants only); bound variables are treated as
-			// fixed by halving per bound position, a cheap refinement.
-			probe := substitute(tp, Bindings{})
-			cost := countUpTo(st, probe, 1<<16)
-			if cost == 0 {
-				cost = 1
-			}
-			divisor := 1
-			for _, term := range []Term{tp.S, tp.P, tp.O} {
-				if term.IsVar() && boundVars[term.Var] {
-					divisor *= 64
-				}
-			}
-			cost /= divisor
-			if cost < 1 {
-				cost = 1
-			}
-			_ = shape
-			shares := false
-			for _, t := range []Term{tp.S, tp.P, tp.O} {
-				if t.IsVar() && boundVars[t.Var] {
-					shares = true
-				}
-			}
-			if len(order) > 0 && !shares {
-				cost *= 1 << 16
-			}
-			if cost < bestCost {
-				best, bestCost = i, cost
+			if best < 0 || c < bestCost {
+				best, bestCost = i, c
 			}
 		}
 		order = append(order, best)
 		used[best] = true
-		for _, t := range []Term{q.Patterns[best].S, q.Patterns[best].P, q.Patterns[best].O} {
+		for _, t := range [3]Term{q.Patterns[best].S, q.Patterns[best].P, q.Patterns[best].O} {
 			if t.IsVar() {
-				boundVars[t.Var] = true
+				bound[t.Var] = true
 			}
 		}
 	}
@@ -161,17 +149,13 @@ func ExecuteContext(ctx context.Context, q Query, st Store, emit func(Bindings))
 	return executeOrdered(ctx, q, st, Plan(q), nil, emit, false)
 }
 
-// ExecuteWithOrderContext is ExecuteWithOrder with cancellation.
-func ExecuteWithOrderContext(ctx context.Context, q Query, st Store, order []int, emit func(Bindings)) (ExecStats, error) {
-	return executeOrdered(ctx, q, st, order, nil, emit, false)
-}
-
-// StreamWithOrder is ExecuteWithOrderContext for streaming consumers:
-// one Bindings map is reused across emit calls, so a solution-heavy
-// query allocates nothing per row in the executor. The map passed to
-// emit is valid only for the duration of the callback and must not be
-// retained or mutated; consumers that keep solutions use the Execute
-// family instead. A nil ctx disables cancellation.
+// StreamWithOrder runs the query in an explicit order, with
+// cancellation, for streaming consumers: one Bindings map is reused
+// across emit calls, so a solution-heavy query allocates nothing per row
+// in the executor. The map passed to emit is valid only for the duration
+// of the callback and must not be retained or mutated; consumers that
+// keep solutions use the Execute family instead. A nil ctx disables
+// cancellation.
 //
 //rdf:nonretaining
 func StreamWithOrder(ctx context.Context, q Query, st Store, order []int, emit func(Bindings)) (ExecStats, error) {
@@ -218,46 +202,16 @@ func (c *canceller) check() error {
 // whose shape (under the bindings accumulated so far) is cheapest. It
 // returns the evaluation order as indexes into q.Patterns.
 func Plan(q Query) []int {
-	n := len(q.Patterns)
-	used := make([]bool, n)
-	boundVars := map[string]bool{}
-	order := make([]int, 0, n)
-	for len(order) < n {
-		best, bestCost := -1, 1<<62
-		for i, tp := range q.Patterns {
-			if used[i] {
-				continue
+	return greedyOrder(q, 1<<10, func(tp TriplePattern, bound map[string]bool) int {
+		// Bound variables count as constants.
+		fixed := func(t Term) core.ID {
+			if t.IsVar() && !bound[t.Var] {
+				return core.Wildcard
 			}
-			// Shape assuming bound variables are constants.
-			fake := Bindings{}
-			for v := range boundVars {
-				fake[v] = 0
-			}
-			cost := shapeCost(substitute(tp, fake).Shape())
-			// Prefer patterns sharing a variable with what is bound
-			// (avoids Cartesian products).
-			shares := false
-			for _, t := range []Term{tp.S, tp.P, tp.O} {
-				if t.IsVar() && boundVars[t.Var] {
-					shares = true
-				}
-			}
-			if len(order) > 0 && !shares {
-				cost *= 1 << 10
-			}
-			if cost < bestCost {
-				best, bestCost = i, cost
-			}
+			return t.ID
 		}
-		order = append(order, best)
-		used[best] = true
-		for _, t := range []Term{q.Patterns[best].S, q.Patterns[best].P, q.Patterns[best].O} {
-			if t.IsVar() {
-				boundVars[t.Var] = true
-			}
-		}
-	}
-	return order
+		return shapeCost(core.Pattern{S: fixed(tp.S), P: fixed(tp.P), O: fixed(tp.O)}.Shape())
+	})
 }
 
 // Execute runs the query against the store with nested-loop joins over
@@ -489,53 +443,25 @@ func execGallop(vs core.VarSelecter, group []core.Pattern, v string,
 // Decompose runs the query and returns the sequence of atomic selection
 // patterns it issued, in execution order. This is the paper's Table 6
 // methodology: the same decomposition is replayed against each index so
-// that all systems execute identical pattern sequences.
+// that all systems execute identical pattern sequences. The executor
+// runs over a recorder that hides any core.VarSelecter of st, so the
+// sequence is the plain nested-loop one, without merge-intersections.
 func Decompose(q Query, st Store) ([]core.Pattern, error) {
-	order := Plan(q)
-	var issued []core.Pattern
-	bindings := Bindings{}
-	var rec func(step int)
-	rec = func(step int) {
-		if step == len(order) {
-			return
-		}
-		tp := q.Patterns[order[step]]
-		pat := substitute(tp, bindings)
-		issued = append(issued, pat)
-		it := st.Select(pat)
-		for {
-			t, ok := it.Next()
-			if !ok {
-				return
-			}
-			newVars := make([]string, 0, 3)
-			okBind := true
-			tryBind := func(term Term, id core.ID) {
-				if !okBind || !term.IsVar() {
-					return
-				}
-				if prev, bound := bindings[term.Var]; bound {
-					if prev != id {
-						okBind = false
-					}
-					return
-				}
-				bindings[term.Var] = id
-				newVars = append(newVars, term.Var)
-			}
-			tryBind(tp.S, t.S)
-			tryBind(tp.P, t.P)
-			tryBind(tp.O, t.O)
-			if okBind {
-				rec(step + 1)
-			}
-			for _, v := range newVars {
-				delete(bindings, v)
-			}
-		}
-	}
-	rec(0)
-	return issued, nil
+	rec := &recorder{Store: st}
+	_, err := executeOrdered(nil, q, rec, Plan(q), nil, nil, false)
+	return rec.issued, err
+}
+
+// recorder is a Store that logs every selection it serves. Embedding the
+// interface promotes Select and NumTriples only, never VarSelecter.
+type recorder struct {
+	Store
+	issued []core.Pattern
+}
+
+func (r *recorder) Select(p core.Pattern) *core.Iterator {
+	r.issued = append(r.issued, p)
+	return r.Store.Select(p)
 }
 
 // Replay executes a pre-computed pattern decomposition against a store,

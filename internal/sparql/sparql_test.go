@@ -47,13 +47,13 @@ func TestParseRoundTripThroughString(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"SELECT WHERE { ?x <1> ?y . }",      // no projection
-		"SELECT ?x WHERE { }",               // empty BGP
-		"SELECT ?x WHERE { ?x <1> ?y }",     // missing dot
-		"SELECT ?z WHERE { ?x <1> ?y . }",   // unbound projection
-		"SELECT ?x WHERE { ?x <abc> ?y . }", // non-numeric constant
-		"SELECT ?x WHERE { ?x <1 ?y . }",    // unterminated IRI
-		"SELECT ?x { ?x <1> ?y . }",         // missing WHERE
+		"SELECT WHERE { ?x <1> ?y . }", // no projection
+		"SELECT ?x WHERE { }",          // empty BGP
+		"SELECT ?x WHERE { ?x <1> ?y ?y <2> ?x }", // missing separator dot
+		"SELECT ?z WHERE { ?x <1> ?y . }",         // unbound projection
+		"SELECT ?x WHERE { ?x <abc> ?y . }",       // non-numeric constant
+		"SELECT ?x WHERE { ?x <1 ?y . }",          // unterminated IRI
+		"SELECT ?x { ?x <1> ?y . }",               // missing WHERE
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {

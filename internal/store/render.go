@@ -16,6 +16,7 @@ import (
 
 	"rdfindexes/internal/core"
 	"rdfindexes/internal/dict"
+	"rdfindexes/internal/sparql"
 )
 
 // Renderer resolves result IDs to terms through stateful dictionary
@@ -132,6 +133,7 @@ type NDJSONWriter struct {
 	pd    map[core.ID]termSpan
 
 	vars   []string // solution row keys, in emission order
+	isPred []bool   // per key: bound only in predicate position
 	keybuf []byte   // escaped `"var":` fragments back to back
 	keyoff []termSpan
 }
@@ -167,6 +169,7 @@ func (n *NDJSONWriter) Release() {
 	n.arena = trimCap(n.arena)
 	n.keybuf = trimCap(n.keybuf)
 	n.vars = n.vars[:0]
+	n.isPred = n.isPred[:0]
 	n.keyoff = n.keyoff[:0]
 	ndjsonPool.Put(n)
 }
@@ -269,17 +272,31 @@ func (n *NDJSONWriter) appendTerm(id core.ID, predicate bool) {
 }
 
 // SetVars fixes the key set and order of subsequent WriteSolution rows,
-// pre-escaping every variable name once.
+// pre-escaping every variable name once. Every variable renders through
+// the subject/object dictionary; SetQuery also knows predicate
+// variables.
 func (n *NDJSONWriter) SetVars(vars []string) {
 	n.vars = append(n.vars[:0], vars...)
+	n.isPred = n.isPred[:0]
 	n.keybuf = n.keybuf[:0]
 	n.keyoff = n.keyoff[:0]
 	for _, v := range vars {
+		n.isPred = append(n.isPred, false)
 		start := len(n.keybuf)
 		n.raw = append(n.raw[:0], v...)
 		n.keybuf = appendJSONString(n.keybuf, n.raw)
 		n.keybuf = append(n.keybuf, ':')
 		n.keyoff = append(n.keyoff, termSpan{start, len(n.keybuf)})
+	}
+}
+
+// SetQuery is SetVars over q's projection, with every variable that q
+// binds only in predicate position rendered through the predicate
+// dictionary.
+func (n *NDJSONWriter) SetQuery(q sparql.Query) {
+	n.SetVars(q.Vars)
+	for i, v := range q.Vars {
+		n.isPred[i] = q.PredicateOnly(v)
 	}
 }
 
@@ -303,7 +320,7 @@ func (n *NDJSONWriter) WriteSolution(b map[string]core.ID) {
 		first = false
 		sp := n.keyoff[i]
 		n.buf = append(n.buf, n.keybuf[sp.start:sp.end]...)
-		n.appendTerm(id, false)
+		n.appendTerm(id, n.isPred[i])
 	}
 	n.buf = append(n.buf, '}', '\n')
 	n.maybeFlush()

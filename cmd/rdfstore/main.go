@@ -297,8 +297,8 @@ func sparqlCmd(args []string, out io.Writer) error {
 	if *stats {
 		order = sparql.PlanWithStats(q, st.Index)
 	}
-	// Solutions stream through the reused-bindings executor and the
-	// pooled renderer: no per-row maps, no per-term strings.
+	// Solutions stream through the executor's reused row and the pooled
+	// renderer: no per-row maps, no per-term strings.
 	rend := store.AcquireRenderer(st)
 	defer rend.Release()
 	isPred := make([]bool, len(q.Vars))
@@ -308,7 +308,7 @@ func sparqlCmd(args []string, out io.Writer) error {
 	var line []byte
 	var writeErr error
 	printed := 0
-	execStats, err := sparql.StreamWithOrder(nil, q, st.Index, order, func(b sparql.Bindings) {
+	execStats, err := sparql.StreamRows(nil, q, st.Index, order, nil, func(row []core.ID) {
 		if writeErr != nil || (*limit >= 0 && printed >= *limit) {
 			return
 		}
@@ -322,9 +322,9 @@ func sparqlCmd(args []string, out io.Writer) error {
 			line = append(line, v...)
 			line = append(line, '=')
 			if isPred[i] {
-				line = rend.AppendPredicate(line, b[v])
+				line = rend.AppendPredicate(line, row[i])
 			} else {
-				line = rend.AppendTerm(line, b[v])
+				line = rend.AppendTerm(line, row[i])
 			}
 		}
 		line = append(line, '\n')

@@ -108,14 +108,14 @@ func legacyMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer
 }
 
 // pooledMaterialize runs the same query through the live serving path:
-// reused-bindings streaming execution into the pooled NDJSON writer.
+// reused-row streaming execution into the pooled NDJSON writer.
 func pooledMaterialize(st *store.Store, q sparql.Query, order []int, w io.Writer) (int, error) {
 	nw := store.AcquireNDJSON(st, w)
 	defer nw.Release()
 	nw.SetQuery(q)
 	rows := 0
-	_, err := sparql.StreamWithOrder(nil, q, st.Index, order, func(b sparql.Bindings) {
-		nw.WriteSolution(b)
+	_, err := sparql.StreamRows(nil, q, st.Index, order, nil, func(row []core.ID) {
+		nw.WriteRow(row)
 		rows++
 	})
 	if err != nil {
@@ -132,8 +132,8 @@ func protocolMaterialize(st *store.Store, q sparql.Query, order []int, f results
 	defer wr.Release()
 	wr.BeginQuery(q)
 	rows := 0
-	_, err := sparql.StreamWithOrder(nil, q, st.Index, order, func(b sparql.Bindings) {
-		wr.WriteSolution(b)
+	_, err := sparql.StreamRows(nil, q, st.Index, order, nil, func(row []core.ID) {
+		wr.WriteRow(row)
 		rows++
 	})
 	if err != nil {

@@ -361,6 +361,19 @@ func (x *DynamicSnapshot) SelectCtx(p Pattern, c *QueryCtx) *Iterator {
 	return selectMerged(x.layout, x.base, x.added, x.deleted, p, c)
 }
 
+// SelectVarSorted serves the sorted binding stream of a one-wildcard
+// pattern from the base index while the update log is empty, so
+// merge-intersection joins run on the served mutable stack between
+// merges. With pending updates the stream would need the merge Select
+// does, so ok is false and the executor falls back to nested iteration.
+func (x *DynamicSnapshot) SelectVarSorted(p Pattern) (*VarIter, bool) {
+	vs, ok := x.base.(VarSelecter)
+	if !ok || len(x.added) != 0 || len(x.deleted) != 0 {
+		return nil, false
+	}
+	return vs.SelectVarSorted(p)
+}
+
 // selectMerged builds the merged log+base iterator shared by
 // DynamicIndex.Select and DynamicSnapshot.SelectCtx. added and deleted
 // must stay unmutated while the iterator is live.

@@ -73,7 +73,7 @@ func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, st *st
 	defer stop()
 	et := time.Now()
 	rows, truncated := 0, false
-	stats, err := sparql.StreamTraced(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, tr, func(sparql.Bindings) {
+	stats, err := sparql.StreamRows(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, tr, func([]core.ID) {
 		if limit >= 0 && rows >= limit {
 			if !truncated {
 				truncated = true

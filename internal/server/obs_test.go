@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rdfindexes/internal/obs"
+	"rdfindexes/internal/sparql"
 )
 
 // metricValue sums the parsed samples matching name and label subset.
@@ -210,6 +213,84 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// nestedOnly hides the index's core.VarSelecter, so the executor runs
+// plain nested loops over it: the reference for merge-intersections.
+type nestedOnly struct{ sparql.Store }
+
+// TestExplainGallopOnMutable checks that a star query on the mutable
+// serving stack joins by merge-intersection while the update log is
+// empty, falls back to nested loops while a write is pending, and
+// answers like nested loops both times.
+func TestExplainGallopOnMutable(t *testing.T) {
+	m := mutableStore(t, t.TempDir(), 24, 3, 0)
+	ts := httptest.NewServer(NewMutable(m, Options{Workers: 2, CacheEntries: -1}))
+	defer ts.Close()
+	const query = "SELECT ?s WHERE { ?s <http://ex/likes> <http://ex/item3> . ?s <http://ex/knows> <http://ex/p3> . }"
+
+	check := func(wantGallop bool) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/sparql?explain=1&query="+url.QueryEscape(query), nil)
+		resp, body := do(t, req)
+		if resp.StatusCode != 200 {
+			t.Fatalf("explain: %d %s", resp.StatusCode, body)
+		}
+		var doc struct {
+			Steps []struct {
+				Gallop bool `json:"gallop"`
+			} `json:"steps"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Steps) != 2 {
+			t.Fatalf("%d steps, want 2: %s", len(doc.Steps), body)
+		}
+		for i, st := range doc.Steps {
+			if st.Gallop != wantGallop {
+				t.Errorf("step %d gallop = %v, want %v", i, st.Gallop, wantGallop)
+			}
+		}
+
+		view := m.View()
+		q, err := sparql.ParseWith(query, view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		if _, err := sparql.Execute(q, nestedOnly{view.Index}, func(b sparql.Bindings) {
+			want = append(want, strings.Trim(view.Render(b["s"]), "<>"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		resp, body = protocolGet(t, ts, query, "application/sparql-results+json")
+		if resp.StatusCode != 200 {
+			t.Fatalf("query: %d %s", resp.StatusCode, body)
+		}
+		_, rows := jsonBindings(t, body)
+		var got []string
+		for _, r := range rows {
+			got = append(got, r["s"]["value"])
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("served %v, nested loops %v", got, want)
+		}
+	}
+	check(true)
+	// A pending write adds a second answer and puts the view on the
+	// update log.
+	for _, tr := range [][3]string{
+		{"<http://ex/p9>", "<http://ex/likes>", "<http://ex/item3>"},
+		{"<http://ex/p9>", "<http://ex/knows>", "<http://ex/p3>"},
+	} {
+		if _, err := m.Insert(tr[0], tr[1], tr[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(false)
+}
+
 // TestProtocolHeadAndLastModified covers the HEAD form and the
 // Last-Modified/If-Modified-Since validator pair on a mutable store
 // (whose views carry their publication time).
@@ -378,5 +459,39 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if stats.SlowQueries != 1 {
 		t.Errorf("stats slow queries = %d, want 1", stats.SlowQueries)
+	}
+}
+
+// TestServerTimingFormat pins the append-formatted Server-Timing header
+// and trailer byte for byte to the fmt rendering they replace, and the
+// formatting itself to zero allocations.
+func TestServerTimingFormat(t *testing.T) {
+	durs := []time.Duration{0, 1, 499, 500, 501, 1499, 1500, 123456, 999_999_999,
+		3*time.Second + 7, time.Hour, 7 * 24 * time.Hour}
+	tr := obs.AcquireTrace()
+	defer tr.Release()
+	for i, d := range durs {
+		q, p, pl := d, durs[(i+1)%len(durs)], durs[(i+5)%len(durs)]
+		tr.Stages[obs.StageQueue], tr.Stages[obs.StageParse], tr.Stages[obs.StagePlan] = q, p, pl
+		for _, cache := range []string{"hit", "miss"} {
+			want := fmt.Sprintf("cache;desc=%q, queue;dur=%.3f, parse;dur=%.3f, plan;dur=%.3f",
+				cache, float64(q)/1e6, float64(p)/1e6, float64(pl)/1e6)
+			if got := serverTiming(tr, cache); got != want {
+				t.Errorf("header %q, want %q", got, want)
+			}
+		}
+		want := fmt.Sprintf("exec;dur=%.3f, render;dur=%.3f, total;dur=%.3f",
+			float64(q)/1e6, float64(p)/1e6, float64(pl)/1e6)
+		if got := string(appendTrailerTiming(nil, q, p, pl)); got != want {
+			t.Errorf("trailer %q, want %q", got, want)
+		}
+	}
+	buf := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(200, func() {
+		buf = appendServerTiming(buf[:0], tr, "miss")
+		buf = appendTrailerTiming(buf, 1500, 123456, time.Second)
+	})
+	if allocs != 0 {
+		t.Errorf("Server-Timing formatting: %v allocs, want 0", allocs)
 	}
 }

@@ -154,16 +154,42 @@ func (t *timedWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// serverTiming renders the pre-stream Server-Timing header: the stages
-// that completed before the first body byte, plus the result-cache
-// verdict. The exec/render/total entries arrive in an HTTP trailer
-// (chunked responses only) because they are unknowable up front.
+// appendServerTiming appends the pre-stream Server-Timing header: the
+// stages that completed before the first body byte, plus the
+// result-cache verdict. The exec/render/total entries arrive in an HTTP
+// trailer (appendTrailerTiming; chunked responses only) because they
+// are unknowable up front.
+//
+//rdf:hotpath
+func appendServerTiming(b []byte, tr *obs.Trace, cache string) []byte {
+	b = strconv.AppendQuote(append(b, "cache;desc="...), cache)
+	b = appendDur(append(b, ", "...), "queue", tr.Stages[obs.StageQueue])
+	b = appendDur(append(b, ", "...), "parse", tr.Stages[obs.StageParse])
+	return appendDur(append(b, ", "...), "plan", tr.Stages[obs.StagePlan])
+}
+
+// appendTrailerTiming appends the post-stream Server-Timing trailer.
+//
+//rdf:hotpath
+func appendTrailerTiming(b []byte, exec, render, total time.Duration) []byte {
+	b = appendDur(b, "exec", exec)
+	b = appendDur(append(b, ", "...), "render", render)
+	return appendDur(append(b, ", "...), "total", total)
+}
+
+// appendDur appends one Server-Timing metric, name;dur=<ms> with three
+// decimals.
+//
+//rdf:hotpath
+func appendDur(b []byte, name string, d time.Duration) []byte {
+	b = append(append(b, name...), ";dur="...)
+	return strconv.AppendFloat(b, float64(d)/1e6, 'f', 3, 64)
+}
+
+// serverTiming renders the pre-stream Server-Timing header value.
 func serverTiming(tr *obs.Trace, cache string) string {
-	return fmt.Sprintf("cache;desc=%q, queue;dur=%.3f, parse;dur=%.3f, plan;dur=%.3f",
-		cache,
-		float64(tr.Stages[obs.StageQueue])/1e6,
-		float64(tr.Stages[obs.StageParse])/1e6,
-		float64(tr.Stages[obs.StagePlan])/1e6)
+	var buf [128]byte
+	return string(appendServerTiming(buf[:0], tr, cache))
 }
 
 // notModified reports whether the request's conditional headers prove
@@ -339,7 +365,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	defer stop()
 	et := time.Now()
 	rows, truncated := 0, false
-	_, err = sparql.StreamTraced(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, tr, func(b sparql.Bindings) {
+	_, err = sparql.StreamRows(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, tr, func(row []core.ID) {
 		if limit >= 0 && rows >= limit {
 			if !truncated {
 				truncated = true
@@ -347,7 +373,7 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		wr.WriteSolution(b)
+		wr.WriteRow(row)
 		rows++
 	})
 	// Execution and serialization interleave on the streaming path; the
@@ -389,9 +415,8 @@ func (s *Server) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	// The post-stream stages travel as a trailer — best effort: they
 	// reach clients on chunked responses that read trailers, and cost
 	// nothing otherwise.
-	h.Set(http.TrailerPrefix+"Server-Timing", fmt.Sprintf(
-		"exec;dur=%.3f, render;dur=%.3f, total;dur=%.3f",
-		float64(exec)/1e6, float64(tw.d)/1e6, float64(total)/1e6))
+	var tb [128]byte
+	h.Set(http.TrailerPrefix+"Server-Timing", string(appendTrailerTiming(tb[:0], exec, tw.d, total)))
 	s.observeRequest(tr, total)
 	s.slow.Record("sparql", qs, gen, rows, truncated, errMsg, total, tr)
 }

@@ -293,6 +293,20 @@ func TestWriterUnboundAndRepeats(t *testing.T) {
 		}
 		wr.Release()
 		body := out.String()
+		// The row form writes the same bytes, core.Wildcard meaning unbound.
+		var rowOut bytes.Buffer
+		wr = Acquire(f, st, &rowOut)
+		wr.Begin([]string{"a", "b"})
+		wr.WriteRow([]core.ID{0, 1})
+		wr.WriteRow([]core.ID{0, core.Wildcard})
+		wr.End()
+		if err := wr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wr.Release()
+		if rowOut.String() != body {
+			t.Fatalf("%v: WriteRow body %q, WriteSolution body %q", f, rowOut.String(), body)
+		}
 		switch f {
 		case JSON:
 			var doc struct {
@@ -392,6 +406,17 @@ func TestWriterAllocs(t *testing.T) {
 			}); a != 0 {
 				t.Errorf("%v WriteSolution allocs/row = %v, want 0", f, a)
 			}
+			row := make([]core.ID, 2)
+			if a := testing.AllocsPerRun(500, func() {
+				row[0], row[1] = core.ID(i%n), core.ID((i+29)%n)
+				if i%5 == 0 {
+					row[1] = core.Wildcard
+				}
+				wr.WriteRow(row)
+				i++
+			}); a != 0 {
+				t.Errorf("%v WriteRow allocs/row = %v, want 0", f, a)
+			}
 			wr.End()
 			wr.Flush()
 		})
@@ -408,15 +433,15 @@ func BenchmarkSerializerRows(b *testing.B) {
 			wr := Acquire(f, st, io.Discard)
 			defer wr.Release()
 			wr.Begin([]string{"x", "y"})
-			sol := map[string]core.ID{}
+			row := make([]core.ID, 2)
 			for i := 0; i < n; i++ {
-				sol["x"], sol["y"] = core.ID(i), core.ID((i+7)%n)
-				wr.WriteSolution(sol)
+				row[0], row[1] = core.ID(i), core.ID((i+7)%n)
+				wr.WriteRow(row)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol["x"], sol["y"] = core.ID(i%n), core.ID((i+13)%n)
-				wr.WriteSolution(sol)
+				row[0], row[1] = core.ID(i%n), core.ID((i+13)%n)
+				wr.WriteRow(row)
 			}
 			wr.End()
 			wr.Flush()

@@ -31,7 +31,7 @@ const trimCap = 1 << 20
 // format-encoded once per request and replayed from an arena cache after
 // that — the steady-state row path performs no allocations in any
 // format. A Writer serves one request on one goroutine; the sequence is
-// Begin, any number of WriteSolution, End, Flush, Release.
+// Begin, any number of WriteRow, End, Flush, Release.
 type Writer struct {
 	f    Format
 	w    io.Writer
@@ -46,8 +46,9 @@ type Writer struct {
 	pred  map[core.ID]span // predicate IDs
 
 	vars   []string
-	isPred []bool // per variable: bound only in predicate position
-	keybuf []byte // per-variable key fragments back to back
+	isPred []bool    // per variable: bound only in predicate position
+	row    []core.ID // WriteSolution's map-to-row scratch
+	keybuf []byte    // per-variable key fragments back to back
 	keyoff []span
 	nrows  int
 }
@@ -134,7 +135,7 @@ func (wr *Writer) BeginQuery(q sparql.Query) {
 }
 
 // Begin writes the result set header and fixes the variable set and
-// order of the subsequent WriteSolution rows, pre-encoding every
+// order of the subsequent rows, pre-encoding every
 // per-variable key fragment once. Every variable renders through the
 // subject/object dictionary; BeginQuery also knows predicate variables.
 func (wr *Writer) Begin(vars []string) {
@@ -199,12 +200,15 @@ func (wr *Writer) Begin(vars []string) {
 const xmlHeader = `<?xml version="1.0"?>` + "\n" +
 	`<sparql xmlns="http://www.w3.org/2005/sparql-results#"><head>`
 
-// WriteSolution emits one solution row over the Begin variables.
-// Variables absent from b are omitted (JSON/XML) or left as empty fields
-// (CSV/TSV), per each format's specification.
+// WriteRow emits one solution row over the Begin variables: row[i] is
+// the ID bound to the i-th variable, core.Wildcard when it is unbound.
+// Unbound variables are omitted (JSON/XML) or left as empty fields
+// (CSV/TSV), per each format's specification. The writer does not keep
+// row.
 //
 //rdf:hotpath
-func (wr *Writer) WriteSolution(b map[string]core.ID) {
+func (wr *Writer) WriteRow(row []core.ID) {
+	row = row[:len(wr.vars)]
 	switch wr.f {
 	case JSON:
 		if wr.nrows > 0 {
@@ -212,9 +216,8 @@ func (wr *Writer) WriteSolution(b map[string]core.ID) {
 		}
 		wr.buf = append(wr.buf, '{')
 		first := true
-		for i, v := range wr.vars {
-			id, ok := b[v]
-			if !ok {
+		for i, id := range row {
+			if id == core.Wildcard {
 				continue
 			}
 			if !first {
@@ -228,9 +231,8 @@ func (wr *Writer) WriteSolution(b map[string]core.ID) {
 		wr.buf = append(wr.buf, '}')
 	case XML:
 		wr.buf = append(wr.buf, `<result>`...)
-		for i, v := range wr.vars {
-			id, ok := b[v]
-			if !ok {
+		for i, id := range row {
+			if id == core.Wildcard {
 				continue
 			}
 			sp := wr.keyoff[i]
@@ -240,21 +242,21 @@ func (wr *Writer) WriteSolution(b map[string]core.ID) {
 		}
 		wr.buf = append(wr.buf, `</result>`...)
 	case CSV:
-		for i, v := range wr.vars {
+		for i, id := range row {
 			if i > 0 {
 				wr.buf = append(wr.buf, ',')
 			}
-			if id, ok := b[v]; ok {
+			if id != core.Wildcard {
 				wr.appendTerm(id, wr.isPred[i])
 			}
 		}
 		wr.buf = append(wr.buf, '\r', '\n')
 	case TSV:
-		for i, v := range wr.vars {
+		for i, id := range row {
 			if i > 0 {
 				wr.buf = append(wr.buf, '\t')
 			}
-			if id, ok := b[v]; ok {
+			if id != core.Wildcard {
 				wr.appendTerm(id, wr.isPred[i])
 			}
 		}
@@ -262,6 +264,22 @@ func (wr *Writer) WriteSolution(b map[string]core.ID) {
 	}
 	wr.nrows++
 	wr.maybeFlush()
+}
+
+// WriteSolution is WriteRow over a map: variables absent from b are
+// unbound.
+//
+//rdf:hotpath
+func (wr *Writer) WriteSolution(b map[string]core.ID) {
+	wr.row = wr.row[:0]
+	for _, v := range wr.vars {
+		id, ok := b[v]
+		if !ok {
+			id = core.Wildcard
+		}
+		wr.row = append(wr.row, id)
+	}
+	wr.WriteRow(wr.row)
 }
 
 // End writes the result set trailer. The buffered tail still needs a

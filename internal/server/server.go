@@ -633,12 +633,12 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 
 	// Reaching the row limit cancels the execution context: the executor
 	// aborts within one cancellation stride instead of computing
-	// solutions nobody will see. StreamWithOrder reuses one bindings map
-	// across solutions, so the emit path allocates nothing per row.
+	// solutions nobody will see. StreamRows reuses one row across
+	// solutions, so the emit path allocates nothing per row.
 	execCtx, stop := context.WithCancel(ctx)
 	defer stop()
 	rows, truncated := 0, false
-	stats, err := sparql.StreamWithOrder(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, func(b sparql.Bindings) {
+	stats, err := sparql.StreamRows(execCtx, q, ctxStore{x: st.Index, qc: qc}, order, nil, func(row []core.ID) {
 		if limit >= 0 && rows >= limit {
 			if !truncated {
 				truncated = true
@@ -646,7 +646,7 @@ func (s *Server) handleSparql(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		nw.WriteSolution(b)
+		nw.WriteRow(row)
 		rows++
 	})
 	if err != nil && !truncated {

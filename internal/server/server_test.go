@@ -666,7 +666,6 @@ func TestWorkerPoolBounds(t *testing.T) {
 	st := testStore(t, 50, 3)
 	srv := New(st, Options{Workers: 1, CacheEntries: -1})
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -680,6 +679,10 @@ func TestWorkerPoolBounds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// A client can read the whole response while the handler's deferred
+	// release is still running; Close blocks until every handler has
+	// returned, so the count is final after it.
+	ts.Close()
 	if got := srv.Snapshot().InFlight; got != 0 {
 		t.Fatalf("in-flight count %d after drain, want 0", got)
 	}

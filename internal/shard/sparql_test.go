@@ -17,7 +17,7 @@ import (
 func execAll(t *testing.T, q sparql.Query, st sparql.Store) []string {
 	t.Helper()
 	var rows []string
-	_, err := sparql.ExecuteContext(context.Background(), q, st, func(b sparql.Bindings) {
+	_, err := sparql.Execute(q, st, func(b sparql.Bindings) {
 		var row []string
 		for _, v := range q.Vars {
 			row = append(row, fmt.Sprintf("%s=%d", v, b[v]))
@@ -83,7 +83,7 @@ func TestSparqlShardedCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sparql.ExecuteContext(ctx, q, sh, nil); err == nil {
+	if _, err := sparql.StreamRows(ctx, q, sh, sparql.Plan(q), nil, nil); err == nil {
 		t.Fatal("cancelled execution returned no error")
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"rdfindexes/internal/core"
 )
 
-// TestExecuteContextCompletes checks the context path returns the same
-// results as the plain path when nothing cancels.
+// TestExecuteContextCompletes checks the row path under a live context
+// returns the same results as the plain path when nothing cancels.
 func TestExecuteContextCompletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ts := randomTriples(rng, 600)
@@ -24,7 +24,7 @@ func TestExecuteContextCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := ExecuteContext(context.Background(), q, st, nil)
+	withCtx, err := StreamRows(context.Background(), q, st, Plan(q), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestExecuteContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stats, err := ExecuteContext(ctx, q, st, nil)
+	stats, err := StreamRows(ctx, q, st, Plan(q), nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled execution returned %v, want context.Canceled", err)
 	}
@@ -76,11 +76,11 @@ func TestExecuteContextDeadlineGallop(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteContext(ctx, q, x, nil); err != nil && !errors.Is(err, context.Canceled) {
+	if _, err := StreamRows(ctx, q, x, Plan(q), nil, nil); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("unexpected error %v", err)
 	}
 	// A nil-emit complete run on the same store for comparison.
-	if _, err := ExecuteContext(context.Background(), q, x, nil); err != nil {
+	if _, err := StreamRows(context.Background(), q, x, Plan(q), nil, nil); err != nil {
 		t.Fatalf("uncancelled run failed: %v", err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"rdfindexes/internal/obs"
 )
 
-// TestStreamTraced checks the per-step cardinality recording against
+// TestStreamTraced checks StreamRows' per-step cardinality recording against
 // the executor's own aggregate stats on both the nested-loop and the
 // merge-intersection paths.
 func TestStreamTraced(t *testing.T) {
@@ -38,12 +38,12 @@ func TestStreamTraced(t *testing.T) {
 		order := Plan(q)
 		tr := obs.AcquireTrace()
 		tr.EnableSteps(len(order))
-		stats, err := StreamTraced(nil, q, x, order, tr, nil)
+		stats, err := StreamRows(nil, q, x, order, tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Untraced execution is bit-identical.
-		plain, err := StreamWithOrder(nil, q, x, order, nil)
+		plain, err := StreamRows(nil, q, x, order, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestStreamTracedGallopFlag(t *testing.T) {
 	defer tr.Release()
 	order := Plan(star)
 	tr.EnableSteps(len(order))
-	if _, err := StreamTraced(nil, star, x, order, tr, nil); err != nil {
+	if _, err := StreamRows(nil, star, x, order, tr, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range tr.Steps() {
@@ -128,7 +128,7 @@ func TestStreamTracedGallopFlag(t *testing.T) {
 	defer tr2.Release()
 	order2 := Plan(chain)
 	tr2.EnableSteps(len(order2))
-	if _, err := StreamTraced(nil, chain, x, order2, tr2, nil); err != nil {
+	if _, err := StreamRows(nil, chain, x, order2, tr2, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range tr2.Steps() {

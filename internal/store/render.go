@@ -271,7 +271,7 @@ func (n *NDJSONWriter) appendTerm(id core.ID, predicate bool) {
 	n.buf = appendJSONString(n.buf, n.raw)
 }
 
-// SetVars fixes the key set and order of subsequent WriteSolution rows,
+// SetVars fixes the key set and order of subsequent solution rows,
 // pre-escaping every variable name once. Every variable renders through
 // the subject/object dictionary; SetQuery also knows predicate
 // variables.
@@ -300,18 +300,18 @@ func (n *NDJSONWriter) SetQuery(q sparql.Query) {
 	}
 }
 
-// WriteSolution emits one BGP solution row over the SetVars keys;
-// variables absent from b are omitted. Solution terms always render as
-// strings (the <id> fallback covers integer-only stores), matching the
-// pre-writer server behavior.
+// WriteRow emits one BGP solution row over the SetVars keys: row[i] is
+// the ID bound to the i-th key, and core.Wildcard (unbound) omits it.
+// Solution terms always render as strings (the <id> fallback covers
+// integer-only stores), matching the pre-writer server behavior. The
+// writer does not keep row.
 //
 //rdf:hotpath
-func (n *NDJSONWriter) WriteSolution(b map[string]core.ID) {
+func (n *NDJSONWriter) WriteRow(row []core.ID) {
 	n.buf = append(n.buf, '{')
 	first := true
-	for i, v := range n.vars {
-		id, ok := b[v]
-		if !ok {
+	for i, id := range row[:len(n.vars)] {
+		if id == core.Wildcard {
 			continue
 		}
 		if !first {

@@ -114,7 +114,7 @@ func TestNDJSONWriterIntsAndSolutions(t *testing.T) {
 	nw := AcquireNDJSON(ints, &out)
 	nw.WriteTriple(core.Triple{S: 1, P: 2, O: 3})
 	nw.SetVars([]string{"x", "y", "z"})
-	nw.WriteSolution(map[string]core.ID{"x": 1, "z": 2})
+	nw.WriteRow([]core.ID{1, core.Wildcard, 2})
 	nw.WriteError(`boom "quoted\"`)
 	nw.AppendRaw([]byte("{\"matches\":1}\n"))
 	if err := nw.Flush(); err != nil {
@@ -175,7 +175,7 @@ func TestNDJSONEscaping(t *testing.T) {
 	nw := AcquireNDJSON(st, &out)
 	nw.SetVars([]string{"v"})
 	for id := range terms {
-		nw.WriteSolution(map[string]core.ID{"v": core.ID(id)})
+		nw.WriteRow([]core.ID{core.ID(id)})
 	}
 	if err := nw.Flush(); err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestNDJSONWriterAllocs(t *testing.T) {
 			// Warm: first pass fills the term cache and grows the buffers.
 			for _, tr := range triples {
 				nw.WriteTriple(tr)
-				nw.WriteSolution(map[string]core.ID{"x": tr.S, "y": tr.O})
+				nw.WriteRow([]core.ID{tr.S, tr.O})
 			}
 			nw.Flush()
 			i := 0
@@ -225,14 +225,14 @@ func TestNDJSONWriterAllocs(t *testing.T) {
 			}); a != 0 {
 				t.Errorf("WriteTriple allocs/row = %v, want 0", a)
 			}
-			sol := map[string]core.ID{"x": 0, "y": 0}
+			row := make([]core.ID, 2)
 			if a := testing.AllocsPerRun(500, func() {
 				tr := triples[i%len(triples)]
-				sol["x"], sol["y"] = tr.S, tr.O
-				nw.WriteSolution(sol)
+				row[0], row[1] = tr.S, tr.O
+				nw.WriteRow(row)
 				i++
 			}); a != 0 {
-				t.Errorf("WriteSolution allocs/row = %v, want 0", a)
+				t.Errorf("WriteRow allocs/row = %v, want 0", a)
 			}
 			nw.Flush()
 		})
